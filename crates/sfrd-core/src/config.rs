@@ -42,8 +42,9 @@ use crate::driver::{DetectorKind, DriveConfig};
 pub struct EngineConfig {
     /// `reach` or `full`.
     pub mode: Mode,
-    /// Reader-retention policy of the access history (SF-Order and
-    /// WSP-Order honor it; F-Order and MultiBags are always `All`).
+    /// Reader-retention policy of the access history
+    /// ([`ReaderPolicy::PerFutureLR`] by default; SF-Order and WSP-Order
+    /// honor it, F-Order and MultiBags are always `All`).
     pub policy: ReaderPolicy,
     /// Shadow-memory store backing the access history.
     pub shadow: ShadowBackend,
@@ -59,7 +60,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             mode: Mode::Full,
-            policy: ReaderPolicy::All,
+            policy: ReaderPolicy::default(),
             shadow: ShadowBackend::default(),
             set_repr: SetRepr::default(),
             kernels: KernelKind::default(),
@@ -307,14 +308,14 @@ mod tests {
         let cfg = DriveConfig::builder()
             .detector(DetectorKind::SfOrder)
             .mode(Mode::Reach)
-            .policy(ReaderPolicy::PerFutureLR)
+            .policy(ReaderPolicy::All)
             .shadow(ShadowBackend::Sharded)
             .set_repr(SetRepr::Dense)
             .kernels(KernelKind::Scalar)
             .build();
         let ec = EngineConfig::from(&cfg);
         assert_eq!(ec.mode, Mode::Reach);
-        assert_eq!(ec.policy, ReaderPolicy::PerFutureLR);
+        assert_eq!(ec.policy, ReaderPolicy::All);
         assert_eq!(ec.shadow, ShadowBackend::Sharded);
         assert_eq!(ec.set_repr, SetRepr::Dense);
         assert_eq!(ec.kernels, KernelKind::Scalar);
@@ -337,6 +338,20 @@ mod tests {
         assert_eq!(b.sched, base.sched);
         assert_eq!(b.kernels, base.kernels);
         assert_eq!(b.om_backend, base.om_backend);
+    }
+
+    #[test]
+    fn every_default_uses_the_bounded_reader_policy() {
+        let detector = DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 2);
+        for policy in [
+            EngineConfig::default().policy,
+            DriveConfig::base(1).policy,
+            detector.policy,
+            EngineConfig::from(&detector).policy,
+        ] {
+            assert_eq!(policy, ReaderPolicy::default());
+        }
+        assert_eq!(ReaderPolicy::default(), ReaderPolicy::PerFutureLR);
     }
 
     #[test]

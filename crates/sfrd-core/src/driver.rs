@@ -55,7 +55,9 @@ pub struct DriveConfig {
     pub workers: usize,
     /// Serial left-to-right depth-first execution (required by MultiBags).
     pub sequential: bool,
-    /// Reader policy for SF-Order's access history.
+    /// Reader policy for SF-Order's and WSP-Order's access history
+    /// ([`ReaderPolicy::PerFutureLR`] by default; F-Order and MultiBags
+    /// always keep all readers).
     pub policy: ReaderPolicy,
     /// Route accesses through the batched strand-event pipeline
     /// (`Batched` + per-batch shard locking) instead of one shadow lock
@@ -98,7 +100,7 @@ impl DriveConfig {
             mode: Mode::Full,
             workers,
             sequential: false,
-            policy: ReaderPolicy::All,
+            policy: ReaderPolicy::default(),
             batched: true,
             shadow: ShadowBackend::default(),
             set_repr: SetRepr::default(),
@@ -116,7 +118,7 @@ impl DriveConfig {
             mode,
             workers,
             sequential: matches!(detector, DetectorKind::MultiBags),
-            policy: ReaderPolicy::All,
+            policy: ReaderPolicy::default(),
             batched: true,
             shadow: ShadowBackend::default(),
             set_repr: SetRepr::default(),
@@ -304,9 +306,7 @@ mod tests {
         vec![
             DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 1),
             sf2,
-            sf2.to_builder()
-                .policy(sfrd_shadow::ReaderPolicy::PerFutureLR)
-                .build(),
+            sf2.to_builder().policy(ReaderPolicy::All).build(),
             sf2.to_builder().shadow(ShadowBackend::Sharded).build(),
             sf2.to_builder()
                 .shadow(ShadowBackend::Sharded)

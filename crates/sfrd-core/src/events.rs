@@ -105,6 +105,17 @@ pub trait ReachEngine: Send + Sync + 'static {
     }
 }
 
+/// Hot-path counts of one access call or batch flush, kept on the stack
+/// and added into the sink's shared counters once at the end of the call
+/// ([`EventSink::add_tally`]) instead of one atomic add per access.
+#[derive(Default)]
+struct Tally {
+    reads: u64,
+    writes: u64,
+    queries: u64,
+    seqlock_hits: u64,
+}
+
 /// The unified detector: the on-the-fly protocol of §1/§3 over any
 /// [`ReachEngine`], speaking both the per-access and the batched access
 /// protocol. `SfDetector`, `FoDetector`, `MbDetector` and `WspDetector`
@@ -198,10 +209,25 @@ impl<E: ReachEngine> EventSink<E> {
         }
     }
 
+    /// Add one call's hot-path counts into the shared counters.
+    fn add_tally(&self, t: Tally) {
+        for (counter, n) in [
+            (&self.counters.reads, t.reads),
+            (&self.counters.writes, t.writes),
+            (&self.counters.queries, t.queries),
+            (&self.seqlock_hits, t.seqlock_hits),
+        ] {
+            if n != 0 {
+                Counters::add(counter, n);
+            }
+        }
+    }
+
     /// The read half of the protocol, shared by both access paths: check
     /// the last writer, then retain the reader. With a [`VerdictCache`]
     /// (batch path), a writer whose epoch matches a cached serial verdict
     /// skips the reachability query.
+    #[allow(clippy::too_many_arguments)]
     fn check_read(
         &self,
         e: &mut LocEntry<E::Pos>,
@@ -210,8 +236,9 @@ impl<E: ReachEngine> EventSink<E> {
         pos: E::Pos,
         s: &E::Strand,
         mut verdicts: Option<&mut VerdictCache>,
+        t: &mut Tally,
     ) {
-        Counters::bump(&self.counters.reads);
+        t.reads += 1;
         if let Some(w) = e.writer {
             // Same-position fast path: an accessor at the current position
             // is trivially serial; no reachability query needed.
@@ -220,9 +247,9 @@ impl<E: ReachEngine> EventSink<E> {
                     .as_deref_mut()
                     .is_some_and(|v| v.check(addr, e.writer_seq))
                 {
-                    self.seqlock_hits.fetch_add(1, Ordering::Relaxed);
+                    t.seqlock_hits += 1;
                 } else {
-                    Counters::bump(&self.counters.queries);
+                    t.queries += 1;
                     if self.engine.precedes(w, s) {
                         if let Some(v) = verdicts {
                             v.store(addr, e.writer_seq);
@@ -254,34 +281,33 @@ impl<E: ReachEngine> EventSink<E> {
         pos: E::Pos,
         s: &E::Strand,
         mut verdicts: Option<&mut VerdictCache>,
+        t: &mut Tally,
     ) {
-        Counters::bump(&self.counters.writes);
+        t.writes += 1;
         if let Some(w) = e.writer {
             if w != pos {
                 if verdicts
                     .as_deref_mut()
                     .is_some_and(|v| v.check(addr, e.writer_seq))
                 {
-                    self.seqlock_hits.fetch_add(1, Ordering::Relaxed);
+                    t.seqlock_hits += 1;
                 } else {
-                    Counters::bump(&self.counters.queries);
+                    t.queries += 1;
                     if !self.engine.precedes(w, s) {
                         self.collector.report(addr, RaceKind::WriteWrite);
                     }
                 }
             }
         }
-        let mut reader_queries = 0;
         e.readers.for_each(|r| {
             if r == pos {
                 return;
             }
-            reader_queries += 1;
+            t.queries += 1;
             if !self.engine.precedes(r, s) {
                 self.collector.report(addr, RaceKind::ReadWrite);
             }
         });
-        Counters::add(&self.counters.queries, reader_queries);
         e.begin_write_epoch(pos);
         if let Some(v) = verdicts {
             v.store(addr, e.writer_seq);
@@ -298,6 +324,7 @@ impl<E: ReachEngine> EventSink<E> {
     /// strand-locally — still nothing written to the entry). A negative
     /// verdict (a race) returns `false` so the caller's locked path
     /// re-derives and reports exactly once.
+    #[allow(clippy::too_many_arguments)]
     fn fast_read(
         &self,
         cur: &mut PageCursor<'_, E::Pos>,
@@ -306,6 +333,7 @@ impl<E: ReachEngine> EventSink<E> {
         pos: E::Pos,
         s: &E::Strand,
         mut verdicts: Option<&mut VerdictCache>,
+        t: &mut Tally,
     ) -> bool {
         let eng = &self.engine;
         let hit = cur.fast_read(
@@ -320,10 +348,10 @@ impl<E: ReachEngine> EventSink<E> {
                 Some(w) if w == pos => true,
                 Some(w) => {
                     if verdicts.as_deref_mut().is_some_and(|v| v.check(addr, wseq)) {
-                        self.seqlock_hits.fetch_add(1, Ordering::Relaxed);
+                        t.seqlock_hits += 1;
                         true
                     } else {
-                        Counters::bump(&self.counters.queries);
+                        t.queries += 1;
                         if self.engine.precedes(w, s) {
                             if let Some(v) = verdicts {
                                 v.store(addr, wseq);
@@ -338,7 +366,7 @@ impl<E: ReachEngine> EventSink<E> {
         );
         if hit {
             // The access happened: Fig. 3 counts stay path-invariant.
-            Counters::bump(&self.counters.reads);
+            t.reads += 1;
         }
         hit
     }
@@ -387,22 +415,29 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
         let Some(history) = &self.history else { return };
         let pos = E::pos(s);
         let fut = E::future_id(s);
+        let mut t = Tally::default();
         if let AccessHistory::Paged(paged) = history {
             let mut cur = paged.cursor();
-            if self.fast_read(&mut cur, addr, fut, pos, s, None) {
-                return;
+            if !self.fast_read(&mut cur, addr, fut, pos, s, None, &mut t) {
+                cur.locked(addr, |e| {
+                    self.check_read(e, addr, fut, pos, s, None, &mut t)
+                });
             }
-            cur.locked(addr, |e| self.check_read(e, addr, fut, pos, s, None));
-            return;
+        } else {
+            history.locked(addr, |e| {
+                self.check_read(e, addr, fut, pos, s, None, &mut t)
+            });
         }
-        history.locked(addr, |e| self.check_read(e, addr, fut, pos, s, None));
+        self.add_tally(t);
     }
 
     #[inline]
     fn on_write(&self, s: &mut E::Strand, addr: u64) {
         let Some(history) = &self.history else { return };
         let pos = E::pos(s);
-        history.locked(addr, |e| self.check_write(e, addr, pos, s, None));
+        let mut t = Tally::default();
+        history.locked(addr, |e| self.check_write(e, addr, pos, s, None, &mut t));
+        self.add_tally(t);
     }
 
     /// The batched hot path, per backend:
@@ -428,8 +463,11 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
         // are real instrumented accesses: fold them into the Fig. 3
         // counters so counts stay schedule- and filter-invariant.
         let (filtered_reads, filtered_writes) = batch.take_filtered();
-        Counters::add(&self.counters.reads, filtered_reads);
-        Counters::add(&self.counters.writes, filtered_writes);
+        let mut t = Tally {
+            reads: filtered_reads,
+            writes: filtered_writes,
+            ..Tally::default()
+        };
         let (entries, verdicts) = batch.parts();
         match history {
             AccessHistory::Paged(paged) => {
@@ -447,11 +485,19 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
                     }
                     if a.is_write {
                         cur.locked(a.addr, |e| {
-                            self.check_write(e, a.addr, pos, s, Some(&mut *verdicts))
+                            self.check_write(e, a.addr, pos, s, Some(&mut *verdicts), &mut t)
                         });
-                    } else if !self.fast_read(&mut cur, a.addr, fut, pos, s, Some(&mut *verdicts)) {
+                    } else if !self.fast_read(
+                        &mut cur,
+                        a.addr,
+                        fut,
+                        pos,
+                        s,
+                        Some(&mut *verdicts),
+                        &mut t,
+                    ) {
                         cur.locked(a.addr, |e| {
-                            self.check_read(e, a.addr, fut, pos, s, Some(&mut *verdicts))
+                            self.check_read(e, a.addr, fut, pos, s, Some(&mut *verdicts), &mut t)
                         });
                     }
                 }
@@ -472,9 +518,17 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
                         for a in &entries[i..j] {
                             let e = view.entry(a.addr);
                             if a.is_write {
-                                self.check_write(e, a.addr, pos, s, Some(&mut *verdicts));
+                                self.check_write(e, a.addr, pos, s, Some(&mut *verdicts), &mut t);
                             } else {
-                                self.check_read(e, a.addr, fut, pos, s, Some(&mut *verdicts));
+                                self.check_read(
+                                    e,
+                                    a.addr,
+                                    fut,
+                                    pos,
+                                    s,
+                                    Some(&mut *verdicts),
+                                    &mut t,
+                                );
                             }
                         }
                     });
@@ -483,5 +537,6 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
             }
         }
         entries.clear();
+        self.add_tally(t);
     }
 }

@@ -156,7 +156,10 @@ impl AccessBatch {
             }
             return false;
         }
-        *slot = (key, slot.1 || is_write);
+        // The wrote bit belongs to the key: an evicted key's bit must not
+        // carry over, or a later first write to the new key is combined
+        // away as if it had already been recorded.
+        *slot = (key, (slot.0 == key && slot.1) || is_write);
         self.recorded += 1;
         self.entries.push(BatchedAccess { addr, is_write });
         true
@@ -467,6 +470,21 @@ mod tests {
         assert!(b.is_empty());
         let (recorded, filtered, _) = b.stats();
         assert_eq!((recorded, filtered), (2, 3));
+    }
+
+    #[test]
+    fn eviction_does_not_carry_the_wrote_bit() {
+        let mut b = AccessBatch::new(16);
+        // Find a second key that shares 8's filter way.
+        let other = (9..)
+            .find(|&a| way(a, FILTER_WAYS) == way(8, FILTER_WAYS))
+            .unwrap();
+        assert!(b.record(8, true), "written key occupies the way");
+        assert!(b.record(other, false), "a read of another key evicts it");
+        assert!(b.record(other, true), "the first write to that key is kept");
+        let mut seen = vec![];
+        b.replay(|a, w| seen.push((a, w)));
+        assert_eq!(seen, vec![(8, true), (other, false), (other, true)]);
     }
 
     #[test]

@@ -41,12 +41,15 @@
 //!
 //! Two reader-retention policies (selected per detector run):
 //!
+//! * [`ReaderPolicy::PerFutureLR`] (the [`Default`], and what SF-Order and
+//!   WSP-Order run with unless configured otherwise) — the §3.5 bound:
+//!   per (location, future) only the *leftmost* and *rightmost* readers,
+//!   ≤ 2k per location in total (Lemmas 3.10/3.11). The triples are kept
+//!   in most-recently-recorded order, which is what the paged backend's
+//!   partial fast-path mirror relies on to hit;
 //! * [`ReaderPolicy::All`] — keep every reader since the last write (what
-//!   F-Order needs, and what the paper's SF-Order implementation ships,
-//!   §4 "Implementation Overview");
-//! * [`ReaderPolicy::PerFutureLR`] — the §3.5 bound: per (location,
-//!   future) only the *leftmost* and *rightmost* readers, ≤ 2k per
-//!   location in total (Lemmas 3.10/3.11).
+//!   F-Order and MultiBags always use, and what the paper's SF-Order
+//!   implementation ships, §4 "Implementation Overview").
 //!
 //! The entry type is generic in the position type `P` (each reachability
 //! engine has its own); order comparisons are injected as closures so this
@@ -128,11 +131,13 @@ pub enum ShadowBackend {
 }
 
 /// Which readers to retain per location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReaderPolicy {
     /// All readers since the last write.
     All,
-    /// Leftmost + rightmost reader per future (the 2k bound of §3.5).
+    /// Leftmost + rightmost reader per future (the 2k bound of §3.5; the
+    /// default).
+    #[default]
     PerFutureLR,
 }
 
@@ -153,14 +158,21 @@ impl<P: Copy> Readers<P> {
         }
     }
 
-    /// Iterate the retained readers (lr pairs may repeat a reader).
-    pub fn for_each(&self, mut f: impl FnMut(P)) {
+    /// Iterate the retained readers. A future whose leftmost and
+    /// rightmost reader are the same position yields it once, so a write
+    /// checks it with one reachability query, not two.
+    pub fn for_each(&self, mut f: impl FnMut(P))
+    where
+        P: PartialEq,
+    {
         match self {
             Readers::All(v) => v.iter().copied().for_each(&mut f),
             Readers::PerFuture(v) => {
                 for &(_, l, r) in v {
                     f(l);
-                    f(r);
+                    if r != l {
+                        f(r);
+                    }
                 }
             }
         }
@@ -183,8 +195,11 @@ impl<P: Copy> Readers<P> {
     }
 
     /// Record a reader. `future` is the reader's future id. For the
-    /// per-future policy, the Mellor-Crummey update rule is applied to the
-    /// (leftmost, rightmost) pair:
+    /// per-future policy, the triples are kept in most-recently-recorded
+    /// order — the touched triple moves to the front, a new one is
+    /// inserted there — so the paged backend's partial fast-path mirror
+    /// holds the futures reading the location now. The Mellor-Crummey
+    /// update rule is applied to the (leftmost, rightmost) pair:
     ///
     /// * a slot whose stored reader *precedes* the new one advances to it
     ///   (a serial successor subsumes its ancestor for all later checks);
@@ -202,22 +217,31 @@ impl<P: Copy> Readers<P> {
         eng_less: impl Fn(&P, &P) -> bool,
         heb_less: impl Fn(&P, &P) -> bool,
         precedes: impl Fn(&P, &P) -> bool,
-    ) {
+    ) where
+        P: PartialEq,
+    {
         match self {
             Readers::All(v) => v.push(p),
             Readers::PerFuture(v) => {
-                for entry in v.iter_mut() {
-                    if entry.0 == future {
-                        if precedes(&entry.1, &p) || eng_less(&p, &entry.1) {
-                            entry.1 = p;
-                        }
-                        if precedes(&entry.2, &p) || heb_less(&p, &entry.2) {
-                            entry.2 = p;
-                        }
-                        return;
+                if let Some(i) = v.iter().position(|t| t.0 == future) {
+                    let entry = &mut v[i];
+                    let (l_moves, r_moves) =
+                        lr_moves(entry.1, entry.2, p, eng_less, heb_less, precedes);
+                    if l_moves {
+                        entry.1 = p;
                     }
+                    if r_moves {
+                        entry.2 = p;
+                    }
+                    v[..=i].rotate_right(1);
+                } else {
+                    // Most locations are read by one future: allocate for
+                    // exactly one triple first, not the usual four.
+                    if v.capacity() == 0 {
+                        v.reserve_exact(1);
+                    }
+                    v.insert(0, (future, p, p));
                 }
-                v.push((future, p, p));
             }
         }
     }
@@ -235,6 +259,32 @@ impl<P: Copy> Readers<P> {
             Readers::PerFuture(v) => v.capacity() * std::mem::size_of::<(u32, P, P)>(),
         }
     }
+}
+
+/// The update rule of [`Readers::record`] for one future's stored
+/// (leftmost `l`, rightmost `r`) pair and a new reader `p`: whether each
+/// slot moves to `p`. A slot already holding `p` stays (assigning an equal
+/// value is no move), and when `l == r` the one `precedes` answer serves
+/// both slots. The paged backend's fast path uses the same function for
+/// its no-op test, so the two cannot drift apart.
+#[inline]
+pub(crate) fn lr_moves<P: Copy + PartialEq>(
+    l: P,
+    r: P,
+    p: P,
+    eng_less: impl Fn(&P, &P) -> bool,
+    heb_less: impl Fn(&P, &P) -> bool,
+    precedes: impl Fn(&P, &P) -> bool,
+) -> (bool, bool) {
+    let l_precedes = l != p && precedes(&l, &p);
+    let l_moves = l != p && (l_precedes || eng_less(&p, &l));
+    let r_precedes = if r == l {
+        l_precedes
+    } else {
+        r != p && precedes(&r, &p)
+    };
+    let r_moves = r != p && (r_precedes || heb_less(&p, &r));
+    (l_moves, r_moves)
 }
 
 /// Shadow state of one memory location.
@@ -487,8 +537,39 @@ mod tests {
                 assert!(seen.contains(&(2, 8)), "leftmost by eng");
                 assert!(seen.contains(&(8, 2)), "rightmost by heb");
                 assert!(seen.contains(&(1, 1)));
+                assert_eq!(seen.len(), 3, "future 7's equal (l, r) is yielded once");
             });
         }
+    }
+
+    #[test]
+    fn per_future_triples_in_most_recently_recorded_order() {
+        let mut r = Readers::new(ReaderPolicy::PerFutureLR);
+        let futures = |r: &Readers<Pos>| match r {
+            Readers::PerFuture(v) => v.iter().map(|t| t.0).collect::<Vec<_>>(),
+            Readers::All(_) => unreachable!(),
+        };
+        for fut in [1, 2, 3] {
+            r.record(fut, (fut, fut), eng_less, heb_less, precedes);
+        }
+        assert_eq!(futures(&r), [3, 2, 1], "new triples go to the front");
+        // Touching an existing triple moves it to the front and applies the
+        // LR update rule: (0, 9) is further left than (1, 1).
+        r.record(1, (0, 9), eng_less, heb_less, precedes);
+        assert_eq!(futures(&r), [1, 3, 2]);
+        let Readers::PerFuture(v) = &r else {
+            unreachable!()
+        };
+        assert_eq!(v[0], (1, (0, 9), (1, 1)));
+        // A redundant read of the front triple changes nothing.
+        r.record(1, (0, 9), eng_less, heb_less, precedes);
+        assert_eq!(futures(&r), [1, 3, 2]);
+        assert_eq!(r.len(), 6);
+    }
+
+    #[test]
+    fn default_policy_is_per_future_lr() {
+        assert_eq!(ReaderPolicy::default(), ReaderPolicy::PerFutureLR);
     }
 
     #[test]
@@ -609,6 +690,8 @@ mod tests {
         assert!(!cur.fast_read(addr, 9, (5, 5), eng_less, heb_less, precedes, |_, _| true));
         // A writer veto routes to the slow path.
         assert!(!cur.fast_read(addr, 3, (5, 5), eng_less, heb_less, precedes, |_, _| false));
+        // The cursor adds its hit tally into the history when dropped.
+        drop(cur);
         assert_eq!(h.fast_hits(), 1);
     }
 
@@ -634,10 +717,14 @@ mod tests {
                     .record(fut, (fut, fut), eng_less, heb_less, precedes)
             });
         }
-        // Three futures exceed the inline mirror — fast path must bail even
-        // for a redundant read, and the locked path still has all triples.
+        // Three futures exceed the inline mirror, which holds the two most
+        // recently recorded ones: the oldest future (0) is not mirrored, so
+        // its redundant read must bail to the locked path, which still has
+        // all triples ...
         assert!(!cur.fast_read(0x80, 0, (0, 0), eng_less, heb_less, precedes, |_, _| true));
         cur.locked(0x80, |e| assert_eq!(e.readers.len(), 6));
+        // ... while the most recent future (2) is mirrored and hits.
+        assert!(cur.fast_read(0x80, 2, (2, 2), eng_less, heb_less, precedes, |_, _| true));
     }
 
     #[test]

@@ -53,16 +53,21 @@
 //!
 //! ## The zero-store redundant-read fast path
 //!
-//! Under [`ReaderPolicy::PerFutureLR`] most reads are *redundant*: the
-//! reading future's (leftmost, rightmost) pair already subsumes the new
-//! position, and the writer verdict is already cached. Such a read
-//! completes with an acquire load of the packed word, a volatile copy of
-//! the POD mirror, and a validating re-load — **zero stores, zero CAS, no
-//! lock**. The hit condition is *exactly* "the locked path would leave the
-//! entry unchanged and report nothing", so hitting cannot lose a race the
-//! locked path would find (DESIGN.md §6 gives the argument). Anything else
-//! — torn snapshot, missing triple, LR movement, uncached writer — bails
-//! to the write section, which re-derives everything under the seqlock.
+//! Under [`ReaderPolicy::PerFutureLR`] (the default) most reads are
+//! *redundant*: the reading future's (leftmost, rightmost) pair already
+//! subsumes the new position, and the writer verdict is already cached.
+//! Such a read completes with an acquire load of the packed word, a
+//! volatile copy of the POD mirror, and a validating re-load — **zero
+//! stores, zero CAS, no lock**. The mirror is *partial*: it holds the
+//! entry's first [`MIRROR_LR`] triples, which [`Readers::record`] keeps in
+//! most-recently-recorded order, and the hit test only needs the reading
+//! future's own triple. A hit means "the locked path would leave the
+//! retained reader set unchanged and report nothing" (it would only move
+//! the triple to the front), so hitting cannot lose a race the locked path
+//! would find (DESIGN.md §6 gives the argument). Anything else — torn
+//! snapshot, unmirrored or missing triple, LR movement, uncached writer —
+//! bails to the write section, which re-derives everything under the
+//! seqlock.
 //!
 //! The mirror is read with `read_volatile` and validated against the
 //! packed word before use, the standard seqlock idiom (crossbeam's
@@ -74,7 +79,7 @@ use std::cell::UnsafeCell;
 
 use sfrd_om::AppendArena;
 
-use crate::{AddrMap, LocEntry, ReaderPolicy, Readers};
+use crate::{lr_moves, AddrMap, LocEntry, ReaderPolicy, Readers};
 
 /// log2 of a slot's address span: one slot per 8-byte word, the stride of
 /// the instrumented `ShadowArray<u64>`/`ShadowCell` cells, so contiguous
@@ -125,23 +130,23 @@ fn pack(writer_seq: u64, tag: u64) -> u64 {
     (writer_seq << EPOCH_SHIFT) | ((tag << TAG_SHIFT) & TAG_MASK)
 }
 
-/// Triples mirrored inline for the lock-free read path. A location read by
-/// more concurrent futures spills past the mirror and falls back to the
-/// write section (still correct, just not zero-store).
+/// Triples mirrored inline for the lock-free read path: the first
+/// `MIRROR_LR` of the entry's per-future triples, which
+/// [`Readers::record`] keeps in most-recently-recorded order. A future
+/// whose triple is not mirrored misses and takes the write section (still
+/// correct, just not zero-store), exactly like a future with no triple.
 const MIRROR_LR: usize = 2;
 
 /// POD snapshot of a [`LocEntry`], volatile-readable under packed-word
 /// validation. `owner` is the exact address that claimed the slot
-/// ([`UNCLAIMED`] if none). `None` triple slots are unused; `ok == false`
-/// means the entry is not mirrorable (keep-all readers, or more than
-/// [`MIRROR_LR`] futures) and the fast path must bail.
+/// ([`UNCLAIMED`] if none). `None` triple slots are unused; a keep-all
+/// entry mirrors no triples at all.
 #[derive(Clone, Copy)]
 struct Mirror<P: Copy> {
     owner: u64,
     writer: Option<P>,
     writer_seq: u64,
     lr: [Option<(u32, P, P)>; MIRROR_LR],
-    ok: bool,
 }
 
 impl<P: Copy> Mirror<P> {
@@ -151,27 +156,21 @@ impl<P: Copy> Mirror<P> {
             writer: None,
             writer_seq: 0,
             lr: [None; MIRROR_LR],
-            ok: true,
         }
     }
 
     fn of(owner: u64, e: &LocEntry<P>) -> Self {
         let mut lr = [None; MIRROR_LR];
-        let ok = match &e.readers {
-            Readers::PerFuture(v) if v.len() <= MIRROR_LR => {
-                for (slot, &t) in lr.iter_mut().zip(v.iter()) {
-                    *slot = Some(t);
-                }
-                true
+        if let Readers::PerFuture(v) = &e.readers {
+            for (slot, &t) in lr.iter_mut().zip(v.iter()) {
+                *slot = Some(t);
             }
-            _ => false,
-        };
+        }
         Mirror {
             owner,
             writer: e.writer,
             writer_seq: e.writer_seq,
             lr,
-            ok,
         }
     }
 
@@ -255,9 +254,10 @@ pub struct PagedHistory<P: Copy + Send> {
     fallback: Mutex<AddrMap<LocEntry<P>>>,
     /// Mutex acquisitions — fallback-map only; the mapped path never locks.
     lock_ops: AtomicU64,
-    /// Zero-store fast-path read hits.
+    /// Zero-store fast-path read hits (added by each cursor on drop).
     fast_hits: AtomicU64,
-    /// Write-section CAS retries + fast-path snapshot validation failures.
+    /// Write-section CAS retries + fast-path snapshot validation failures
+    /// (added by each cursor on drop).
     cas_retries: AtomicU64,
     /// Pages published into the directory.
     page_allocs: AtomicU64,
@@ -294,13 +294,14 @@ impl<P: Copy + Send> PagedHistory<P> {
         self.lock_ops.load(Ordering::Relaxed)
     }
 
-    /// Zero-store fast-path read hits.
+    /// Zero-store fast-path read hits of every dropped [`PageCursor`].
     pub fn fast_hits(&self) -> u64 {
         self.fast_hits.load(Ordering::Relaxed)
     }
 
     /// Write-section CAS retries plus fast-path validation failures — the
-    /// contention signal of the per-location seqlock.
+    /// contention signal of the per-location seqlock — of every dropped
+    /// [`PageCursor`] and finished [`for_each_entry`](Self::for_each_entry).
     pub fn cas_retries(&self) -> u64 {
         self.cas_retries.load(Ordering::Relaxed)
     }
@@ -313,6 +314,12 @@ impl<P: Copy + Send> PagedHistory<P> {
     /// Software prefetches issued so far.
     pub fn prefetches(&self) -> u64 {
         self.prefetches.load(Ordering::Relaxed)
+    }
+
+    fn note_cas_retries(&self, n: u64) {
+        if n != 0 {
+            self.cas_retries.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Credit `n` prefetches issued by a batch replay. Counted once per
@@ -352,6 +359,8 @@ impl<P: Copy + Send> PagedHistory<P> {
             hist: self,
             key: u64::MAX,
             page: None,
+            fast_hits: 0,
+            cas_retries: 0,
         }
     }
 
@@ -417,8 +426,9 @@ impl<P: Copy + Send> PagedHistory<P> {
         }
     }
 
-    /// Open the slot's write section. Returns the pre-section packed word.
-    fn lock_slot(&self, slot: &Slot<P>) -> u64 {
+    /// Open the slot's write section, adding contended CAS attempts to
+    /// `retries`. Returns the pre-section packed word.
+    fn lock_slot(slot: &Slot<P>, retries: &mut u64) -> u64 {
         let mut spins = 0u32;
         loop {
             let cur = slot.packed.load(Ordering::Relaxed);
@@ -430,7 +440,7 @@ impl<P: Copy + Send> PagedHistory<P> {
             {
                 return cur;
             }
-            self.cas_retries.fetch_add(1, Ordering::Relaxed);
+            *retries += 1;
             spins += 1;
             if spins > 64 {
                 std::thread::yield_now();
@@ -442,7 +452,7 @@ impl<P: Copy + Send> PagedHistory<P> {
 
     /// Close the write section: refresh the mirror from the entry and
     /// publish a new packed word (fresh epoch bits, tag + 1).
-    fn unlock_slot(&self, slot: &Slot<P>, prev: u64) {
+    fn unlock_slot(slot: &Slot<P>, prev: u64) {
         // SAFETY: we hold the busy bit — exclusive access to all cells.
         let entry = unsafe { &*slot.entry.get() };
         let owner = unsafe { *slot.owner.get() };
@@ -473,6 +483,7 @@ impl<P: Copy + Send> PagedHistory<P> {
     /// write section, so concurrent mutators are excluded per slot but the
     /// overall sweep is not a consistent cut.
     pub fn for_each_entry(&self, mut f: impl FnMut(u64, &LocEntry<P>)) {
+        let mut retries = 0;
         for mid_slot in self.root.iter() {
             let mid_ptr = mid_slot.load(Ordering::Acquire);
             if mid_ptr.is_null() {
@@ -488,17 +499,18 @@ impl<P: Copy + Send> PagedHistory<P> {
                 // SAFETY: as above.
                 let page = unsafe { &*page_ptr };
                 for slot in page.slots.iter() {
-                    let prev = self.lock_slot(slot);
+                    let prev = Self::lock_slot(slot, &mut retries);
                     // SAFETY: busy bit held.
                     let e = unsafe { &*slot.entry.get() };
                     let owner = unsafe { *slot.owner.get() };
                     if owner != UNCLAIMED && Self::is_tracked(e) {
                         f(owner, e);
                     }
-                    self.unlock_slot(slot, prev);
+                    Self::unlock_slot(slot, prev);
                 }
             }
         }
+        self.note_cas_retries(retries);
         let map = self.fallback.lock();
         for (&addr, e) in map.iter() {
             f(addr, e);
@@ -540,12 +552,30 @@ impl<P: Copy + Send> PagedHistory<P> {
 /// A resolved-page memo over a [`PagedHistory`]: consecutive accesses to
 /// the same page (the common case for array scans) reuse the page pointer
 /// instead of re-walking the two directory levels.
+///
+/// The cursor also tallies its fast-path hits and CAS retries locally and
+/// adds them into the history's counters once, when it is dropped — so the
+/// hot path does no shared-counter traffic, and the history's counts are
+/// exact once every cursor is gone.
 pub struct PageCursor<'a, P: Copy + Send> {
     hist: &'a PagedHistory<P>,
     /// `(addr >> SLOT_SHIFT) >> PAGE_SHIFT` of the cached page
     /// (`u64::MAX` = none).
     key: u64,
     page: Option<&'a Page<P>>,
+    fast_hits: u64,
+    cas_retries: u64,
+}
+
+impl<P: Copy + Send> Drop for PageCursor<'_, P> {
+    fn drop(&mut self) {
+        if self.fast_hits != 0 {
+            self.hist
+                .fast_hits
+                .fetch_add(self.fast_hits, Ordering::Relaxed);
+        }
+        self.hist.note_cas_retries(self.cas_retries);
+    }
 }
 
 impl<'a, P: Copy + Send> PageCursor<'a, P> {
@@ -579,8 +609,7 @@ impl<P: Copy + Send> PageCursor<'_, P> {
         let slot = self
             .slot(addr, true)
             .expect("mapped-range page allocation cannot fail");
-        let hist = self.hist;
-        let prev = hist.lock_slot(slot);
+        let prev = PagedHistory::lock_slot(slot, &mut self.cas_retries);
         // SAFETY: busy bit held — exclusive access to owner and entry.
         let owner = unsafe { *slot.owner.get() };
         if owner == UNCLAIMED {
@@ -588,11 +617,11 @@ impl<P: Copy + Send> PageCursor<'_, P> {
         } else if owner != addr {
             // Exact-address discipline: never merge two addresses into one
             // entry. Release the slot untouched and serve from the map.
-            hist.unlock_slot(slot, prev);
-            return hist.fallback_locked(addr, f);
+            PagedHistory::unlock_slot(slot, prev);
+            return self.hist.fallback_locked(addr, f);
         }
         let r = f(unsafe { &mut *slot.entry.get() });
-        hist.unlock_slot(slot, prev);
+        PagedHistory::unlock_slot(slot, prev);
         r
     }
 
@@ -632,7 +661,7 @@ impl<P: Copy + Send> PageCursor<'_, P> {
         };
         let pk1 = slot.packed.load(Ordering::Acquire);
         if pk1 & BUSY != 0 {
-            self.hist.cas_retries.fetch_add(1, Ordering::Relaxed);
+            self.cas_retries += 1;
             return false;
         }
         // SAFETY: seqlock read protocol — the copy may be torn, but it is
@@ -641,30 +670,25 @@ impl<P: Copy + Send> PageCursor<'_, P> {
         let m = unsafe { slot.mirror.get().read_volatile() };
         fence(Ordering::Acquire);
         if slot.packed.load(Ordering::Relaxed) != pk1 {
-            self.hist.cas_retries.fetch_add(1, Ordering::Relaxed);
+            self.cas_retries += 1;
             return false;
         }
         // The snapshot must belong to this exact address: unclaimed slots
         // and sub-word collisions (entry lives in the fallback map) miss.
-        if m.owner != addr || !m.ok {
+        if m.owner != addr {
             return false;
         }
         let Some((l, r)) = m.find(future) else {
             return false;
         };
-        // Value-level no-op test of Readers::record: the slot moves iff the
-        // stored reader precedes the new one (serial-successor advance) or
-        // the new one is further left/right — and an assignment of an equal
-        // value is no move.
-        let left_stable = l == pos || !(pos_precedes(&l, &pos) || eng_less(&pos, &l));
-        let right_stable = r == pos || !(pos_precedes(&r, &pos) || heb_less(&pos, &r));
-        if !(left_stable && right_stable) {
+        // Value-level no-op test of Readers::record: neither slot may move.
+        if lr_moves(l, r, pos, eng_less, heb_less, pos_precedes) != (false, false) {
             return false;
         }
         if !writer_ok(m.writer, m.writer_seq) {
             return false;
         }
-        self.hist.fast_hits.fetch_add(1, Ordering::Relaxed);
+        self.fast_hits += 1;
         true
     }
 }

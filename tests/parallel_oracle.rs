@@ -11,7 +11,10 @@ use std::sync::Arc;
 
 use rand::prelude::*;
 
-use sfrd::core::{FoDetector, GenWorkload, MbDetector, Mode, RecordingHooks, SfDetector, Workload};
+use sfrd::core::{
+    Batched, EngineConfig, FoDetector, GenWorkload, MbDetector, Mode, RecordingHooks, SfDetector,
+    TaskHooks, Workload,
+};
 use sfrd::dag::generator::{GenParams, GenProgram};
 use sfrd::runtime::hooks::PairHooks;
 use sfrd::runtime::{run_sequential, Runtime};
@@ -57,6 +60,48 @@ fn sf_order_parallel_matches_oracle() {
                     "sf-order {policy:?} workers={workers} round={round}\nprogram: {prog:?}"
                 );
             }
+        }
+    }
+}
+
+/// Run `prog` on `workers` workers under `det` with the dag recorder
+/// attached; returns the oracle's racy addresses and the detector.
+fn run_recorded<H: TaskHooks>(prog: &GenProgram, det: H, workers: usize) -> (BTreeSet<u64>, H) {
+    let hooks = Arc::new(PairHooks(RecordingHooks::new(), det));
+    let rt: Runtime<PairHooks<RecordingHooks, H>> = Runtime::new(workers);
+    let w = GenWorkload(prog.clone());
+    rt.run(Arc::clone(&hooks), |ctx| w.run(ctx));
+    drop(rt);
+    let PairHooks(rec, det) = Arc::try_unwrap(hooks).ok().expect("sole owner");
+    let recorded = RecordingHooks::finish(Arc::new(rec));
+    recorded.validate().unwrap();
+    (oracle_racy_addrs(&recorded), det)
+}
+
+/// SF-Order in its default configuration (bounded per-future reader
+/// history, paged shadow with the read fast path), per access and through
+/// the batch pipeline, at 1, 2 and 4×`nproc` workers (oversubscribed).
+#[test]
+fn sf_order_default_config_matches_oracle() {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cfg = EngineConfig::default();
+    let mut rng = StdRng::seed_from_u64(0xDF);
+    for round in 0..12 {
+        let prog = GenProgram::random(&mut rng, &gen_params());
+        for workers in [1, 2, 4 * nproc] {
+            let (want, det) = run_recorded(&prog, SfDetector::from_config(&cfg), workers);
+            assert_eq!(
+                det.report().racy_addrs,
+                want,
+                "per access, workers={workers} round={round}\nprogram: {prog:?}"
+            );
+            let (want, det) =
+                run_recorded(&prog, Batched::new(SfDetector::from_config(&cfg)), workers);
+            assert_eq!(
+                det.inner().report().racy_addrs,
+                want,
+                "batched, workers={workers} round={round}\nprogram: {prog:?}"
+            );
         }
     }
 }
